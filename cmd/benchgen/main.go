@@ -275,8 +275,8 @@ func main() {
 		log.Fatal(err)
 	}
 	f.Close()
-	fmt.Printf("speedup %.2fx; pass runs %d (+%d saved), trace reuses %d -> %s\n",
-		r.Speedup, r.PassRuns, r.PassRunsSaved, r.TraceReuses, *out)
+	fmt.Printf("speedup %.2fx; pass runs %d (+%d saved), trace reuses %d, replay memo hits %d -> %s\n",
+		r.Speedup, r.PassRuns, r.PassRunsSaved, r.TraceReuses, stats.ReplayMemoHits, *out)
 }
 
 // checkRegression gates the measured naive/batched speedup against a

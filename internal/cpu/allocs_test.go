@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"portcc/internal/trace"
 	"portcc/internal/uarch"
 )
 
@@ -69,5 +70,31 @@ func TestSimulateBatchClosedFormAllocs(t *testing.T) {
 	if longAllocs != shortAllocs {
 		t.Errorf("closed-form SimulateBatch allocations scale with trace length: %.1f per call at 5k events, %.1f at 80k",
 			shortAllocs, longAllocs)
+	}
+}
+
+// TestSimulateBatchMemoAllocs pins the data-stream memo's hot path: the
+// stream-hash pre-pass runs from the pooled arena and a memo hit copies
+// counters in place, so a replay answered entirely from the memo costs
+// exactly the allocations of a memo-free replay, at any trace length.
+func TestSimulateBatchMemoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	short := randomTrace(rng, 5000)
+	long := randomTrace(rng, 80000)
+	archs := sampleArchs(rng, 16, true)
+	memo := NewDataMemo()
+	SimulateBatch(long, archs) // size the pooled arena for the large call
+	SimulateBatchMemo(long, archs, 1, memo)
+	SimulateBatchMemo(short, archs, 1, memo)
+	free := testing.AllocsPerRun(20, func() { SimulateBatch(short, archs) })
+	for _, tr := range []*trace.Trace{short, long} {
+		hits := 0
+		allocs := testing.AllocsPerRun(20, func() { _, hits = SimulateBatchMemo(tr, archs, 1, memo) })
+		if hits == 0 {
+			t.Fatalf("%d-event replay: no memo hits, the pin measures nothing", len(tr.Events))
+		}
+		if allocs != free {
+			t.Errorf("%d-event memo-hit replay allocates %.1f times per call, memo-free %.1f", len(tr.Events), allocs, free)
+		}
 	}
 }

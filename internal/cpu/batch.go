@@ -3,7 +3,7 @@
 // microarchitecture together, instead of one full replay per
 // configuration. Results are bit-identical to per-configuration Simulate.
 //
-// Four structural facts of the model make the batch engine fast:
+// Five structural facts of the model make the batch engine fast:
 //
 //  1. The trace is microarchitecture-independent, so per-event decode work
 //     (operation class, flags, dependency distances) is shared by all
@@ -50,6 +50,17 @@
 //     PCs, memory records, branch records) that the sweeps stream over,
 //     and the trace is still read from main memory once.
 //
+//  5. A data-cache stack reads nothing of the trace but its load/store
+//     sequence (address plus load-vs-store) and yields nothing but its
+//     members' miss counters, while many distinct binaries - differing
+//     only in code layout, in the scheduling of non-memory instructions
+//     or in branch shape - issue byte-identical memory streams. So
+//     SimulateBatchMemo hashes the stream once per call and answers each
+//     stack whose (stream, geometry, member set) a DataMemo already holds
+//     without sweeping it. Only per-event multi-issue states read
+//     individual miss positions, which the memo does not keep; a
+//     configuration set with any of them bypasses it.
+//
 // The per-block sweeps are independent within three dependency waves, so
 // SimulateBatchWith can fan them over a worker pool on multi-core
 // machines - bit-identical under any schedule; SimulateBatch keeps the
@@ -57,6 +68,8 @@
 package cpu
 
 import (
+	"crypto/sha256"
+	"hash"
 	"math/bits"
 	"sort"
 	"sync"
@@ -96,6 +109,11 @@ type simScratch struct {
 	u64 slots[uint64]
 	u32 slots[uint32]
 	u8  slots[uint8]
+	// The data-memo path: the memory-stream hasher and its staging
+	// buffer, and the list of data-cache stacks the memo left to sweep.
+	hasher  hash.Hash
+	hashBuf []byte
+	dcSweep []*lruStack
 }
 
 var simScratchPool = sync.Pool{New: func() any { return new(simScratch) }}
@@ -665,16 +683,31 @@ func SimulateBatch(tr *trace.Trace, cfgs []uarch.Config) []Result {
 // multiplies with the program-level pools on multi-core machines.
 // Workers <= 1 (SimulateBatch's default) keeps the sequential fast path.
 func SimulateBatchWith(tr *trace.Trace, cfgs []uarch.Config, workers int) []Result {
-	return simulateBatch(tr, cfgs, workers, false)
+	rs, _ := simulateBatch(tr, cfgs, workers, false, nil)
+	return rs
 }
 
-// simulateBatch is the engine behind SimulateBatchWith. wideOracle
-// forces every multi-issue configuration onto the per-event replay path
-// instead of the width-2 closed forms - the equivalence tests use it to
-// drive both models over one trace and demand bit-identical results.
-func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool) []Result {
+// SimulateBatchMemo is SimulateBatchWith answering data-cache stacks from
+// memo whenever the trace's memory stream has already been replayed on
+// the same cache geometry, and recording the outcomes of the stacks it
+// sweeps (nil memo = SimulateBatchWith). It also returns how many stacks
+// the memo answered. Results are bit-identical to SimulateBatchWith.
+// Configuration sets with per-event multi-issue states (widths the
+// closed forms do not cover) bypass the memo: those states read every
+// data-cache miss position, which the memo does not keep.
+func SimulateBatchMemo(tr *trace.Trace, cfgs []uarch.Config, workers int, memo *DataMemo) ([]Result, int) {
+	return simulateBatch(tr, cfgs, workers, false, memo)
+}
+
+// simulateBatch is the engine behind SimulateBatchWith and
+// SimulateBatchMemo, returning the results and the memo hit count.
+// wideOracle forces every multi-issue configuration onto the per-event
+// replay path instead of the width-2 closed forms - the equivalence
+// tests use it to drive both models over one trace and demand
+// bit-identical results.
+func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle bool, memo *DataMemo) ([]Result, int) {
 	if len(cfgs) == 0 {
-		return nil
+		return nil, 0
 	}
 	sc := getSimScratch()
 	defer putSimScratch(sc)
@@ -848,6 +881,19 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			btbs[st.btbIdx].mispredBits = sc.bitset()
 		}
 	}
+	// Data-cache stacks whose memory stream the memo has seen on the same
+	// geometry take their counters from it and drop out of the sweeps.
+	// Per-event states need the stacks' missBits, so they bypass it.
+	sweepDCs := dcs
+	var stream [sha256.Size]byte
+	memoHits := 0
+	useMemo := memo != nil && len(wide) == 0 && len(dcs) > 0
+	if useMemo {
+		stream = sc.memStreamDigest(tr.Events)
+		sweepDCs, memoHits = memo.lookup(&stream, dcs, sc.dcSweep[:0])
+		sc.dcSweep = sweepDCs
+		defer clear(sc.dcSweep) // drop this call's stacks from the pooled list
+	}
 	// Dependency-stall histogram for the single-issue closed form:
 	// hist[dl*fsDim+fs] counts events whose nearest load producer is dl
 	// dynamic instructions away (dl = maxDl1 when none is close enough to
@@ -941,7 +987,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		}
 	}
 	sweepDC := func(k int) {
-		s := dcs[k]
+		s := sweepDCs[k]
 		for _, mp := range memList {
 			s.access(uint32(mp), int(mp>>32&0x7fffffff), mp>>63 != 0, true)
 		}
@@ -1251,9 +1297,13 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 		// the BTB deviations and line changes, instruction stacks read
 		// the line changes, and the multi-issue replay reads every
 		// shared outcome bitset.
-		parallelSweep(workers, len(lineTracks)+len(btbs)+len(dcs), wave1)
+		parallelSweep(workers, len(lineTracks)+len(btbs)+len(sweepDCs), wave1)
 		parallelSweep(workers, len(ics)+len(icStacks), wave2)
 		parallelSweep(workers, len(pairGroups)+len(wide), wave3)
+	}
+
+	if useMemo && len(sweepDCs) > 0 {
+		memo.store(&stream, sweepDCs)
 	}
 
 	// A run still open at the end of the trace pairs like any other:
@@ -1345,7 +1395,7 @@ func simulateBatch(tr *trace.Trace, cfgs []uarch.Config, workers int, wideOracle
 			float64(res.Insns)*coreEnergyPerInsn +
 			float64(res.Cycles)*coreEnergyPerCycle
 	}
-	return results
+	return results, memoHits
 }
 
 // depStallDot folds the dependency histogram with one configuration's

@@ -216,7 +216,7 @@ func FuzzSimulateBatchVsSimulate(f *testing.F) {
 		}
 		// The width-2 closed forms must agree with the per-event oracle,
 		// and any worker count must agree with the sequential pass.
-		oracle := simulateBatch(tr, archs, 1, true)
+		oracle, _ := simulateBatch(tr, archs, 1, true, nil)
 		for i := range archs {
 			if oracle[i] != batch[i] {
 				t.Fatalf("config %d (%s): per-event oracle differs from closed form:\n  got %+v\n want %+v",

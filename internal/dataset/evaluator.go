@@ -61,7 +61,9 @@ func (c EvalConfig) withDefaults() EvalConfig {
 // per-program artefacts - IR modules and the -O3 probe that fixes the
 // complete-run count - across a pool of evaluators, so a fan-out that
 // spreads one program's cells over many workers still builds each module
-// and compiles each probe exactly once (single-flight). Every evaluator
+// and compiles each probe exactly once (single-flight). It also carries
+// the pool's data-cache replay memo, so a memory stream one worker
+// replayed answers every worker's replays of it. Every evaluator
 // sharing a base must use the same EvalConfig, or run counts would
 // disagree between workers.
 type SharedBase struct {
@@ -70,6 +72,7 @@ type SharedBase struct {
 	probes  map[string]*probeEntry
 	// compiles counts probe compiles actually performed (reporting).
 	compiles atomic.Int64
+	memo     *cpu.DataMemo
 }
 
 // ProbeCompiles returns how many -O3 probe compiles the base performed -
@@ -93,7 +96,7 @@ type probeEntry struct {
 
 // NewSharedBase builds an empty base for a pool of evaluators.
 func NewSharedBase() *SharedBase {
-	return &SharedBase{modules: map[string]*moduleEntry{}, probes: map[string]*probeEntry{}}
+	return &SharedBase{modules: map[string]*moduleEntry{}, probes: map[string]*probeEntry{}, memo: cpu.NewDataMemo()}
 }
 
 func (b *SharedBase) module(name string) (*ir.Module, error) {
@@ -168,6 +171,10 @@ type Evaluator struct {
 	// replays are answered from and committed to (SetStore). Typically
 	// shared by every evaluator of a pool.
 	rstore *ResultStore
+	// memo answers SimulateBatch's data-cache stacks for memory streams
+	// already replayed: the pool's (through the shared base) or a private
+	// one.
+	memo *cpu.DataMemo
 
 	mu      sync.Mutex
 	modules map[string]*ir.Module
@@ -183,6 +190,7 @@ type Evaluator struct {
 	passRuns, passRunsSaved, traceReuses int64
 	// Trace-generation counters (see Stats).
 	traceGens, traceEvents int64
+	replayMemoHits         int64
 }
 
 type cachedTrace struct {
@@ -203,9 +211,14 @@ func NewEvaluator(cfg EvalConfig) *Evaluator {
 // probes through base (when non-nil), for worker pools. Trace caches
 // stay private per evaluator.
 func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
+	memo := cpu.NewDataMemo()
+	if base != nil {
+		memo = base.memo
+	}
 	return &Evaluator{
 		cfg:     cfg.withDefaults(),
 		base:    base,
+		memo:    memo,
 		modules: map[string]*ir.Module{},
 		runs:    map[string]int{},
 		perRuns: map[string]int{},
@@ -226,7 +239,10 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 // performed (probes included, pool-shared probes excluded) and
 // TraceEvents the dynamic instructions they emitted - the denominator
 // that makes generator-throughput changes observable from a benchmark
-// run without a profiler.
+// run without a profiler. ReplayMemoHits counts the data-cache stack
+// sweeps of this evaluator's batched replays that the data-stream memo
+// answered (see cpu.DataMemo); the naive per-cell path never consults
+// the memo.
 type Stats struct {
 	Compiles    int
 	Simulations int
@@ -237,6 +253,8 @@ type Stats struct {
 
 	TraceGens   int64
 	TraceEvents int64
+
+	ReplayMemoHits int64
 
 	// StoreHits, StoreMisses and StoreCorrupt mirror the attached
 	// persistent result store's ledger (zero without one): replays
@@ -269,6 +287,8 @@ func (e *Evaluator) Stats() Stats {
 		TraceReuses:   e.traceReuses,
 		TraceGens:     e.traceGens,
 		TraceEvents:   e.traceEvents,
+
+		ReplayMemoHits: e.replayMemoHits,
 	}
 	if e.rstore != nil {
 		ss := e.rstore.Stats()
@@ -641,14 +661,23 @@ func (e *Evaluator) SetSweepWorkers(n int) {
 // through the batched single-pass engine, returning one result per
 // architecture in input order (bit-identical to SimulateTrace per
 // architecture). The per-geometry sweeps inside the pass fan over the
-// evaluator's sweep-worker budget (SetSweepWorkers).
+// evaluator's sweep-worker budget (SetSweepWorkers), and data-cache
+// stacks whose memory stream the evaluator's memo has already replayed
+// on the same geometry are answered from it.
 func (e *Evaluator) SimulateBatch(tr *trace.Trace, archs []uarch.Config) []cpu.Result {
+	return e.simulateBatch(tr, archs, e.memo)
+}
+
+// simulateBatch is SimulateBatch with an explicit memo; the naive
+// per-cell path passes nil and replays every stack.
+func (e *Evaluator) simulateBatch(tr *trace.Trace, archs []uarch.Config, memo *cpu.DataMemo) []cpu.Result {
 	e.mu.Lock()
 	workers := e.sweepWorkers
 	e.mu.Unlock()
-	rs := cpu.SimulateBatchWith(tr, archs, workers)
+	rs, hits := cpu.SimulateBatchMemo(tr, archs, workers, memo)
 	e.mu.Lock()
 	e.Simulations += len(archs)
+	e.replayMemoHits += int64(hits)
 	e.mu.Unlock()
 	return rs
 }

@@ -197,7 +197,9 @@ func (r *ExploreRequest) cells() []exploreCell {
 }
 
 // runCell compiles (or reuses) the cell's trace and replays it over the
-// cell's architecture batch.
+// cell's architecture batch. It is the pre-batching baseline the batched
+// sweep is checked and timed against, so its replays bypass the
+// evaluator's data-stream memo.
 func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, error) {
 	name := req.Programs[c.prog]
 	cfg := req.Opts[c.opt]
@@ -216,7 +218,7 @@ func runCell(ev *Evaluator, req *ExploreRequest, c exploreCell) (ExploreResult, 
 		Program:   name,
 		Config:    cfg,
 		Runs:      runs,
-		Results:   ev.SimulateBatch(tr, req.Archs[c.archStart:c.archEnd]),
+		Results:   ev.simulateBatch(tr, req.Archs[c.archStart:c.archEnd], nil),
 	}, nil
 }
 

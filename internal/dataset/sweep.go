@@ -19,6 +19,7 @@ package dataset
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"portcc/internal/codegen"
 	"portcc/internal/cpu"
@@ -91,12 +92,17 @@ type progSweep struct {
 }
 
 // sweepWindow is one contiguous run of settings, batch-compiled by the
-// first cell that needs any of them. It holds binaries and fingerprints
-// only; traces are the traceSlots' business.
+// first cell that needs any of them - or, ahead of its cells, by a slot
+// that would otherwise idle on another slot's window compile. It holds
+// binaries and fingerprints only; traces are the traceSlots' business.
 type sweepWindow struct {
 	once sync.Once
-	err  error         // whole-window failure (module build, -O3 probe)
-	bt   []BatchBinary // per setting, local index = opt - start
+	// claimed marks a window a slot has committed to build (guarded by
+	// sweepState.mu); built is set when the build has finished.
+	claimed bool
+	built   atomic.Bool
+	err     error         // whole-window failure (module build, -O3 probe)
+	bt      []BatchBinary // per setting, local index = opt - start
 }
 
 // simKey identifies one (binary, architecture range) replay.
@@ -168,14 +174,80 @@ func (s *sweepState) prog(p int) *progSweep {
 	return ps
 }
 
+// builtWindow returns the built window starting at start. A slot that
+// finds the window being compiled by another slot does not idle on it:
+// it first claims and builds the program's next unbuilt window, which a
+// later cell of the program needs anyway, and only then waits. The
+// look-ahead stays within the program, so a shard runner never compiles
+// windows of programs it serves no cells of, and it never evicts a
+// retained window, so each window is still built once.
+func (s *sweepState) builtWindow(ev *Evaluator, ps *progSweep, name string, start int) *sweepWindow {
+	s.mu.Lock()
+	w := s.windowAt(ps, start)
+	var ahead *sweepWindow
+	aheadStart := 0
+	if w.claimed && !w.built.Load() {
+		aheadStart, ahead = s.claimAhead(ps, start)
+	}
+	w.claimed = true
+	s.mu.Unlock()
+	if ahead != nil {
+		s.build(ev, ps, name, ahead, aheadStart)
+	}
+	s.build(ev, ps, name, w, start)
+	return w
+}
+
+// claimAhead claims the first window after start that no slot has
+// claimed and that was never built, creating its record; it returns nil
+// when there is none or creating one would evict a retained window.
+// Called with s.mu held.
+func (s *sweepState) claimAhead(ps *progSweep, start int) (int, *sweepWindow) {
+	for next := start + s.window; next < len(s.req.Opts); next += s.window {
+		if w, ok := ps.windows[next]; ok {
+			if !w.claimed {
+				w.claimed = true
+				return next, w
+			}
+			continue
+		}
+		if ps.counted[next] {
+			continue // built before and evicted since: its own cells rebuild it
+		}
+		if len(s.built) >= maxBuiltWindows {
+			return 0, nil
+		}
+		w := s.windowAt(ps, next)
+		w.claimed = true
+		return next, w
+	}
+	return 0, nil
+}
+
+// build batch-compiles the window's settings once; concurrent callers
+// wait for the first.
+func (s *sweepState) build(ev *Evaluator, ps *progSweep, name string, w *sweepWindow, start int) {
+	w.once.Do(func() {
+		n := min(s.window, len(s.req.Opts)-start)
+		cfgs := make([]*opt.Config, n)
+		for i := range cfgs {
+			cfgs[i] = &s.req.Opts[start+i]
+		}
+		w.bt, w.err = ev.TraceBatch(name, cfgs)
+		if w.err == nil {
+			ev.addTraceReuses(s.countReuses(ps, start, w.bt))
+		}
+		w.built.Store(true)
+	})
+}
+
 // windowAt returns a program's window record, creating (and FIFO-
 // registering) it on first use and evicting the oldest built window
 // beyond the retention bound. Evicted windows are simply forgotten:
 // cells still holding the pointer finish against it, and a later cell
-// rebuilds an identical window from the deterministic compile.
+// rebuilds an identical window from the deterministic compile. Called
+// with s.mu held.
 func (s *sweepState) windowAt(ps *progSweep, start int) *sweepWindow {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w, ok := ps.windows[start]
 	if !ok {
 		w = &sweepWindow{}
@@ -320,21 +392,7 @@ func runCellBatched(ev *Evaluator, s *sweepState, c exploreCell) (ExploreResult,
 	ps := s.prog(c.prog)
 
 	start := (c.opt / s.window) * s.window
-	n := s.window
-	if start+n > len(req.Opts) {
-		n = len(req.Opts) - start
-	}
-	w := s.windowAt(ps, start)
-	w.once.Do(func() {
-		cfgs := make([]*opt.Config, n)
-		for i := range cfgs {
-			cfgs[i] = &req.Opts[start+i]
-		}
-		w.bt, w.err = ev.TraceBatch(name, cfgs)
-		if w.err == nil {
-			ev.addTraceReuses(s.countReuses(ps, start, w.bt))
-		}
-	})
+	w := s.builtWindow(ev, ps, name, start)
 
 	if w.err != nil {
 		s.consume(ps)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"portcc/internal/opt"
@@ -297,5 +299,159 @@ func TestExploreResultsGobSafe(t *testing.T) {
 		if !reflect.DeepEqual(res, back) {
 			t.Fatal("gob round-trip changed a batched result")
 		}
+	}
+}
+
+// workCounters is the part of Stats a grid's work fixes regardless of
+// how its cells spread over slots.
+type workCounters struct {
+	compiles                             int
+	passRuns, passRunsSaved, traceReuses int64
+	traceGens                            int64
+}
+
+func sumWork(evs ...*Evaluator) workCounters {
+	var w workCounters
+	for _, ev := range evs {
+		if ev == nil {
+			continue
+		}
+		st := ev.Stats()
+		w.compiles += st.Compiles
+		w.passRuns += st.PassRuns
+		w.passRunsSaved += st.PassRunsSaved
+		w.traceReuses += st.TraceReuses
+		w.traceGens += st.TraceGens
+	}
+	return w
+}
+
+// TestSweepLookAheadBuildsEachWindowOnce covers the slot that reaches a
+// window another slot is compiling: it builds the program's next
+// unbuilt window meanwhile instead of idling, and every window is still
+// compiled exactly once, so the work counters equal a one-slot run's -
+// staged deterministically, then raced on a real two-slot runner.
+func TestSweepLookAheadBuildsEachWindowOnce(t *testing.T) {
+	req := tinyRequest(t, 33)
+	cells := req.cells()
+	// The references run every cell on one slot over the two-slot window
+	// size (the window partition decides what the prefix trie saves).
+	one := NewEvaluator(req.Eval)
+	swOne := newSweepState(&req, 2)
+	for _, c := range cells {
+		if _, err := runCellBatched(one, swOne, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := sumWork(one)
+
+	// Staged: window 0 is claimed by a slot that has not finished it.
+	sw := newSweepState(&req, 2)
+	if sw.window != 16 {
+		t.Fatalf("window = %d, the staging assumes 16", sw.window)
+	}
+	ps := sw.prog(0)
+	sw.mu.Lock()
+	sw.windowAt(ps, 0).claimed = true
+	sw.mu.Unlock()
+	ev := NewEvaluator(req.Eval)
+	if _, err := runCellBatched(ev, sw, cells[0]); err != nil {
+		t.Fatal(err)
+	}
+	sw.mu.Lock()
+	ahead, ok := ps.windows[16]
+	_, beyond := ps.windows[32]
+	sw.mu.Unlock()
+	if !ok || !ahead.built.Load() {
+		t.Fatal("the waiting slot did not build the next window ahead")
+	}
+	if beyond {
+		t.Fatal("the waiting slot looked ahead more than one window")
+	}
+	for _, c := range cells[1:] {
+		if _, err := runCellBatched(ev, sw, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sumWork(ev); got != want {
+		t.Errorf("staged look-ahead work %+v, one-slot run %+v", got, want)
+	}
+
+	// Raced: two slots drain the grid in dispatch order, against one slot
+	// draining an identical two-slot runner (same pool-shared probes).
+	run, evs := req.runner(2, 1, nil)
+	for i := range cells {
+		if _, err := run(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = sumWork(evs...)
+	run, evs = req.runner(2, 1, nil)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for slot := 0; slot < 2; slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+				if _, err := run(slot, i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := sumWork(evs...); got != want {
+		t.Errorf("two-slot work %+v, one-slot drain %+v", got, want)
+	}
+}
+
+// TestNaivePathBypassesReplayMemo pins the naive per-cell path as the
+// memo-free baseline: its replays never consult the data-stream memo,
+// while the batched path's do, and the two datasets are identical.
+func TestNaivePathBypassesReplayMemo(t *testing.T) {
+	cfg := tinyConfig()
+	req, err := cfg.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := map[bool]int64{}
+	for _, naive := range []bool{true, false} {
+		r := req
+		r.Naive = naive
+		run, ev := r.InstrumentedRunner()
+		for i := 0; i < r.Cells(); i++ {
+			if _, err := run(0, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits[naive] = ev.Stats().ReplayMemoHits
+	}
+	if hits[true] != 0 {
+		t.Errorf("naive path: ReplayMemoHits = %d, want 0", hits[true])
+	}
+	if hits[false] == 0 {
+		t.Error("batched path: ReplayMemoHits = 0, the grid exercises no memo hit")
+	}
+	ds := map[bool][]byte{}
+	for _, naive := range []bool{true, false} {
+		d, err := GenerateWith(context.Background(), cfg, ExploreOptions{Naive: naive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		ds[naive] = buf.Bytes()
+	}
+	if !bytes.Equal(ds[true], ds[false]) {
+		t.Error("naive and batched datasets differ")
 	}
 }
