@@ -41,7 +41,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"time"
 
 	"portcc/internal/cliutil"
@@ -91,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hs := &http.Server{Addr: cf.Addr, Handler: srv.Handler()}
+	hs := cliutil.HTTPServer(cf.Addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("serving predictions on %s from %s", cf.Addr, cf.Model)

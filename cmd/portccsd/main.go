@@ -39,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"portcc/internal/cliutil"
 	"portcc/internal/dataset"
 	"portcc/internal/serve/metrics"
 	"portcc/internal/store"
@@ -145,7 +146,7 @@ func serveMetrics(addr string, sv *store.Service, st *store.Store) {
 		w.Header().Set("Content-Type", ct)
 		fmt.Fprint(w, body)
 	})
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := cliutil.HTTPServer(addr, mux).ListenAndServe(); err != nil {
 		log.Printf("-metrics: %v", err)
 	}
 }

@@ -180,6 +180,12 @@ type Evaluator struct {
 	modules map[string]*ir.Module
 	runs    map[string]int // complete runs per trace, fixed per program
 	perRuns map[string]int // -O3 probe length per program (sizing hint)
+	// o3Progs keeps a standalone evaluator's -O3 probe binaries (pooled
+	// ones keep theirs in the shared base) and o3FPs the fingerprints
+	// the store path addresses their replays by, so a fresh -O3 profile
+	// regenerates a trace instead of recompiling.
+	o3Progs map[string]*codegen.Program
+	o3FPs   map[string]codegen.Fingerprint
 	traces  map[string]*cachedTrace
 	order   []string // LRU order of trace cache keys (front = coldest)
 	bytes   int64    // approximate resident bytes of cached traces
@@ -222,6 +228,8 @@ func NewEvaluatorWith(cfg EvalConfig, base *SharedBase) *Evaluator {
 		modules: map[string]*ir.Module{},
 		runs:    map[string]int{},
 		perRuns: map[string]int{},
+		o3Progs: map[string]*codegen.Program{},
+		o3FPs:   map[string]codegen.Fingerprint{},
 		traces:  map[string]*cachedTrace{},
 	}
 }
@@ -361,21 +369,19 @@ func (e *Evaluator) module(name string) (*ir.Module, error) {
 
 // runsFor determines the per-program complete-run count from a probe of
 // the -O3 binary, so every setting of the program does identical work.
-// The probe compiles -O3 anyway, so on first computation the compiled
-// binary and probe trace are returned for the caller to seed the trace
-// cache with - the almost-certain next request, Trace(name, O3), then
-// costs nothing instead of recompiling the probe's binary. Called with
-// e.mu held.
+// The compiled -O3 binary is kept and returned on every call, so any
+// -O3 trace request regenerates from it instead of recompiling. On
+// first computation the probe trace is returned too, for the caller to
+// seed the trace cache with - the almost-certain next request,
+// Trace(name, O3), then costs nothing. Called with e.mu held.
 func (e *Evaluator) runsFor(name string, m *ir.Module) (int, *codegen.Program, *trace.Trace, error) {
 	if e.base != nil {
 		// The base compiled the probe once for the whole pool and keeps
-		// the binary, so every call returns it: any later -O3 trace
-		// request regenerates from the binary instead of recompiling
-		// (no probe trace - it is regenerated when needed).
+		// the binary (no probe trace - it is regenerated when needed).
 		return e.baseRunsFor(name, m)
 	}
 	if r, ok := e.runs[name]; ok {
-		return r, nil, nil, nil
+		return r, e.o3Progs[name], nil, nil
 	}
 	o3 := opt.O3()
 	p, err := core.Compile(m, &o3)
@@ -389,7 +395,30 @@ func (e *Evaluator) runsFor(name string, m *ir.Module) (int, *codegen.Program, *
 	r := deriveRuns(probe, e.cfg)
 	e.runs[name] = r
 	e.perRuns[name] = probe.Insns()
+	e.o3Progs[name] = p
 	return r, p, probe, nil
+}
+
+// traceCap is the event capacity that holds a runs-run trace of a
+// program whose -O3 run is perRun instructions long, with slack for
+// settings that run a little longer, so generation into it runs without
+// append doublings.
+func traceCap(runs, perRun, maxInsns int) int {
+	if runs < 1 {
+		runs = 1
+	}
+	c := runs*perRun + perRun/2 + 256
+	if max := maxInsns + 64; c > max {
+		c = max
+	}
+	return c
+}
+
+// generateSized generates p's trace into a fresh buffer of traceCap
+// events. The trace is the caller's to cache (it is not pooled).
+func (e *Evaluator) generateSized(p *codegen.Program, runs, perRun int) *trace.Trace {
+	tr := &trace.Trace{Events: make([]trace.Event, 0, traceCap(runs, perRun, e.cfg.MaxInsns))}
+	return trace.GenerateInto(tr, p, trace.Config{Runs: runs, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
 }
 
 // traceBytes approximates the resident size of a cached trace: the event
@@ -473,13 +502,15 @@ func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Pr
 		e.mu.Unlock()
 		return nil, nil, err
 	}
+	perRun := e.perRuns[name]
 	e.mu.Unlock()
 
-	// Seed the cache from runsFor's -O3 probe compile, generating the
-	// full-length trace outside the lock (the probe already is that
-	// trace when the run count is 1). An -O3 request is then satisfied
-	// without compiling again. Pooled evaluators get the compiled binary
-	// from the shared base without a probe trace; for them only an
+	// An -O3 request regenerates the full-length trace from the kept
+	// -O3 binary, outside the lock, instead of recompiling it (the
+	// probe already is that trace when the run count is 1). The first
+	// request of a standalone evaluator seeds the cache this way whatever
+	// its setting, since the probe was just traced; pooled evaluators
+	// get no probe trace from the shared base, so for them only an
 	// actual -O3 request seeds - most workers never serve the program's
 	// -O3 cell, and an eager full-length trace would be wasted work.
 	if o3Prog != nil {
@@ -488,7 +519,7 @@ func (e *Evaluator) Trace(name string, c *opt.Config) (*trace.Trace, *codegen.Pr
 		if o3Probe != nil || key == o3Key {
 			o3Trace := o3Probe
 			if o3Trace == nil || runs != 1 {
-				o3Trace = trace.Generate(o3Prog, trace.Config{Runs: runs, MaxInsns: e.cfg.MaxInsns, Seed: e.cfg.Seed})
+				o3Trace = e.generateSized(o3Prog, runs, perRun)
 			}
 			e.mu.Lock()
 			if o3Trace != o3Probe {
@@ -621,14 +652,7 @@ func (e *Evaluator) GenerateTrace(name string, p *codegen.Program) (*trace.Trace
 	perRun := e.perRuns[name]
 	cfg := e.cfg
 	e.mu.Unlock()
-	if runs < 1 {
-		runs = 1
-	}
-	capHint := runs*perRun + perRun/2 + 256
-	if max := cfg.MaxInsns + 64; capHint > max {
-		capHint = max
-	}
-	tr := trace.Get(capHint)
+	tr := trace.Get(traceCap(runs, perRun, cfg.MaxInsns))
 	trace.GenerateInto(tr, p, trace.Config{Runs: runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
 	e.mu.Lock()
 	e.countTraceGen(tr)
@@ -718,34 +742,43 @@ func (e *Evaluator) Run(name string, c *opt.Config, a uarch.Config) (cpu.Result,
 		return e.simulate(tr, a), nil
 	}
 
-	// Store path: the compile (cheap, architecture-independent) yields
-	// the binary fingerprint that addresses the stored replay.
+	// Store path: the binary fingerprint addresses the stored replay.
+	// An -O3 request reuses the kept probe binary and its fingerprint;
+	// any other setting compiles (cheap, architecture-independent).
 	e.mu.Lock()
 	m, err := e.module(name)
 	if err != nil {
 		e.mu.Unlock()
 		return cpu.Result{}, err
 	}
-	runs, _, _, err := e.runsFor(name, m)
+	runs, p, _, err := e.runsFor(name, m)
+	perRun := e.perRuns[name]
+	fp, haveFP := e.o3FPs[name]
 	cfg := e.cfg
 	e.mu.Unlock()
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	p, err := core.Compile(m, c)
-	if err != nil {
-		return cpu.Result{}, err
+	if o3 := opt.O3(); key != name+"/"+o3.Key() {
+		if p, err = core.Compile(m, c); err != nil {
+			return cpu.Result{}, err
+		}
+		e.mu.Lock()
+		e.Compiles++
+		e.passRuns += planSteps(c, m)
+		e.mu.Unlock()
+		fp, _ = codegen.FingerprintInto(p, nil)
+	} else if !haveFP {
+		fp, _ = codegen.FingerprintInto(p, nil)
+		e.mu.Lock()
+		e.o3FPs[name] = fp
+		e.mu.Unlock()
 	}
-	e.mu.Lock()
-	e.Compiles++
-	e.passRuns += planSteps(c, m)
-	e.mu.Unlock()
-	fp, _ := codegen.FingerprintInto(p, nil)
 	archs := []uarch.Config{a}
 	if rs, ok := st.Get(fp, runs, cfg, archs); ok {
 		return rs[0], nil
 	}
-	tr := trace.Generate(p, trace.Config{Runs: runs, MaxInsns: cfg.MaxInsns, Seed: cfg.Seed})
+	tr := e.generateSized(p, runs, perRun)
 	e.mu.Lock()
 	e.countTraceGen(tr)
 	e.insertTrace(key, tr, p)

@@ -125,11 +125,20 @@ func (n *Normalizer) Apply(v []float64) []float64 {
 	if len(n.Mean) == 0 {
 		return append([]float64(nil), v...)
 	}
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = (x - n.Mean[i]) / n.Std[i]
+	return n.ApplyInto(make([]float64, len(v)), v)
+}
+
+// ApplyInto writes the z-scored v into dst, which must hold len(v)
+// elements, and returns dst: Apply without the allocation.
+func (n *Normalizer) ApplyInto(dst, v []float64) []float64 {
+	if len(n.Mean) == 0 {
+		copy(dst, v)
+		return dst
 	}
-	return out
+	for i, x := range v {
+		dst[i] = (x - n.Mean[i]) / n.Std[i]
+	}
+	return dst
 }
 
 // Distance is the Euclidean distance between two (normalised) vectors,

@@ -124,7 +124,31 @@ func Decode(r io.Reader) (*Model, ArtifactInfo, error) {
 	if err := dec.Decode(&b); err != nil {
 		return nil, ArtifactInfo{}, err
 	}
-	return &b.Model, b.Info, nil
+	m := &b.Model
+	if err := m.checkShape(); err != nil {
+		return nil, ArtifactInfo{}, err
+	}
+	m.zs = zscores(m.Norm, m.Pairs)
+	return m, b.Info, nil
+}
+
+// checkShape rejects a decoded model the neighbour search would index
+// out of range on: a missing normaliser, mismatched normaliser
+// statistics, or a training vector longer than they are.
+func (m *Model) checkShape() error {
+	if m.Norm == nil {
+		return fmt.Errorf("ml: artifact model has no feature normaliser")
+	}
+	d := len(m.Norm.Mean)
+	if len(m.Norm.Std) != d {
+		return fmt.Errorf("ml: artifact normaliser has %d means but %d deviations", d, len(m.Norm.Std))
+	}
+	for i := range m.Pairs {
+		if d > 0 && len(m.Pairs[i].X) > d {
+			return fmt.Errorf("ml: artifact pair %d has %d features, normaliser %d", i, len(m.Pairs[i].X), d)
+		}
+	}
+	return nil
 }
 
 // Save writes the model artifact to path (see Encode).

@@ -157,3 +157,24 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatalf("err = %v, want fs not-exist", err)
 	}
 }
+
+// TestDecodeRejectsMisshapenModel: Decode z-scores the training vectors
+// up front, so an artifact whose vectors do not fit its normaliser must
+// fail as an error there instead of panicking in a later query.
+func TestDecodeRejectsMisshapenModel(t *testing.T) {
+	for name, mut := range map[string]func(*Model){
+		"no normaliser":    func(m *Model) { m.Norm = nil },
+		"short deviations": func(m *Model) { m.Norm.Std = m.Norm.Std[:1] },
+		"long vector":      func(m *Model) { m.Pairs[2].X = append(m.Pairs[2].X, 1) },
+	} {
+		m := synthModel(t)
+		mut(m)
+		var buf bytes.Buffer
+		if err := Encode(&buf, m, testInfo()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(&buf); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}

@@ -162,6 +162,13 @@ type Model struct {
 	// hyper-parameters; zero values select K and Beta.
 	KNeighbours int
 	BetaValue   float64
+
+	// zs[i] is Pairs[i].X z-scored by Norm, built once by Train and
+	// Decode so a query normalises only itself; Pairs and Norm must not
+	// change afterwards. Unexported, so gob skips it and artifact bytes
+	// do not change; a Model built as a literal has none and normalises
+	// its pairs per query.
+	zs [][]float64
 }
 
 // trainCalls counts Train invocations process-wide. Pre-trained
@@ -180,7 +187,26 @@ func Train(pairs []TrainingPair) *Model {
 	for i := range pairs {
 		vecs[i] = pairs[i].X
 	}
-	return &Model{Pairs: pairs, Norm: features.NewNormalizer(vecs)}
+	m := &Model{Pairs: pairs, Norm: features.NewNormalizer(vecs)}
+	m.zs = zscores(m.Norm, m.Pairs)
+	return m
+}
+
+// zscores returns every pair's feature vector z-scored by norm, backed
+// by one flat array so the neighbour search streams through memory.
+func zscores(norm *features.Normalizer, pairs []TrainingPair) [][]float64 {
+	n := 0
+	for i := range pairs {
+		n += len(pairs[i].X)
+	}
+	flat := make([]float64, n)
+	zs := make([][]float64, len(pairs))
+	for i := range pairs {
+		x := pairs[i].X
+		zs[i] = norm.ApplyInto(flat[:len(x):len(x)], x)
+		flat = flat[len(x):]
+	}
+	return zs
 }
 
 // PredictOption configures a single prediction or mixture query.
@@ -212,10 +238,29 @@ func applyPredictOptions(opts []PredictOption) predictSettings {
 	return s
 }
 
+// neighbour is a candidate of the K-nearest search; w is its mixture
+// weight once the K are chosen.
 type neighbour struct {
 	dist float64
 	pair *TrainingPair
+	w    float64
 }
+
+// closer orders neighbours by distance, then by program name and
+// architecture index, so ties resolve deterministically.
+func (a *neighbour) closer(b *neighbour) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.pair.Prog != b.pair.Prog {
+		return a.pair.Prog < b.pair.Prog
+	}
+	return a.pair.Arch < b.pair.Arch
+}
+
+// stackNeighbours is the neighbour count Mixture keeps without a heap
+// allocation; it covers K and the ablation sweep's values.
+const stackNeighbours = 16
 
 // Predict returns the predicted-best configuration for feature vector x
 // (equation 1): the mode of the KNN mixture q(y|x). By default every
@@ -228,8 +273,15 @@ func (m *Model) Predict(x []float64, opts ...PredictOption) opt.Config {
 
 // Mixture computes q(y|x): the convex combination of the K nearest
 // training distributions with weights w_k = exp(-beta d_k)/sum (eq. 6).
+// The K nearest are kept in a bounded insertion buffer ordered by
+// neighbour.closer, one pass over the pairs; with the z-scored pairs
+// that Train and Decode build, a query allocates nothing for K up to
+// stackNeighbours and a feature vector of up to features.Dim values.
 func (m *Model) Mixture(x []float64, opts ...PredictOption) Dist {
-	set := applyPredictOptions(opts)
+	var set predictSettings
+	if len(opts) > 0 {
+		set = applyPredictOptions(opts)
+	}
 	k := m.KNeighbours
 	if k <= 0 {
 		k = K
@@ -238,27 +290,39 @@ func (m *Model) Mixture(x []float64, opts ...PredictOption) Dist {
 	if beta <= 0 {
 		beta = Beta
 	}
-	nx := m.Norm.Apply(x)
-	var nbrs []neighbour
+	zs := m.zs
+	if len(zs) != len(m.Pairs) {
+		zs = zscores(m.Norm, m.Pairs)
+	}
+	var qbuf [features.Dim]float64
+	q := qbuf[:]
+	if len(x) > len(q) {
+		q = make([]float64, len(x))
+	}
+	nx := m.Norm.ApplyInto(q[:len(x)], x)
+
+	var nbuf [stackNeighbours]neighbour
+	nbrs := nbuf[:0]
+	if k > len(nbuf) {
+		nbrs = make([]neighbour, 0, min(k, len(m.Pairs)))
+	}
 	for i := range m.Pairs {
 		p := &m.Pairs[i]
 		if set.exclude != nil && set.exclude(p) {
 			continue
 		}
-		nbrs = append(nbrs, neighbour{dist: features.Distance(nx, m.Norm.Apply(p.X)), pair: p})
-	}
-	sort.Slice(nbrs, func(a, b int) bool {
-		if nbrs[a].dist != nbrs[b].dist {
-			return nbrs[a].dist < nbrs[b].dist
+		nb := neighbour{dist: features.Distance(nx, zs[i]), pair: p}
+		switch {
+		case len(nbrs) < k:
+			nbrs = append(nbrs, nb)
+		case nb.closer(&nbrs[k-1]):
+			nbrs[k-1] = nb
+		default:
+			continue
 		}
-		// Deterministic tie-break on identity.
-		if nbrs[a].pair.Prog != nbrs[b].pair.Prog {
-			return nbrs[a].pair.Prog < nbrs[b].pair.Prog
+		for j := len(nbrs) - 1; j > 0 && nbrs[j].closer(&nbrs[j-1]); j-- {
+			nbrs[j], nbrs[j-1] = nbrs[j-1], nbrs[j]
 		}
-		return nbrs[a].pair.Arch < nbrs[b].pair.Arch
-	})
-	if len(nbrs) > k {
-		nbrs = nbrs[:k]
 	}
 	var mix Dist
 	if len(nbrs) == 0 {
@@ -273,16 +337,16 @@ func (m *Model) Mixture(x []float64, opts ...PredictOption) Dist {
 	// Weights relative to the nearest distance for numerical stability.
 	d0 := nbrs[0].dist
 	wsum := 0.0
-	ws := make([]float64, len(nbrs))
-	for i, nb := range nbrs {
-		ws[i] = math.Exp(-beta * (nb.dist - d0))
-		wsum += ws[i]
+	for i := range nbrs {
+		nbrs[i].w = math.Exp(-beta * (nbrs[i].dist - d0))
+		wsum += nbrs[i].w
 	}
-	for i, nb := range nbrs {
-		w := ws[i] / wsum
+	for i := range nbrs {
+		w := nbrs[i].w / wsum
+		g := &nbrs[i].pair.G
 		for l := 0; l < opt.NumDims; l++ {
 			for j := 0; j < opt.DimSize(l); j++ {
-				mix.Theta[l][j] += w * nb.pair.G.Theta[l][j]
+				mix.Theta[l][j] += w * g.Theta[l][j]
 			}
 		}
 	}

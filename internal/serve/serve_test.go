@@ -441,8 +441,10 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 
 // TestWarmPredictAllocs pins the allocation budget of the warm handler
 // path (cached features, request decode, inference, response encode).
-// Measured ~141 allocs/op; the pin leaves headroom for stdlib drift
-// while catching an accidental per-request copy of the model or cache.
+// Measured 121 allocs/op, 139 under the race detector (the neighbour
+// search itself allocates nothing); the pin leaves headroom for stdlib
+// drift while catching an accidental per-request copy of the model or
+// cache, or a neighbour search that allocates per training pair again.
 func TestWarmPredictAllocs(t *testing.T) {
 	ds, _, _ := testDataset(t)
 	s := newTestServer(t, nil)
@@ -458,8 +460,12 @@ func TestWarmPredictAllocs(t *testing.T) {
 		}
 	}
 	do() // warm the feature cache
-	if allocs := testing.AllocsPerRun(50, do); allocs > 200 {
-		t.Errorf("warm predict allocates %.0f objects per request, want <= 200", allocs)
+	limit := 130.0
+	if raceBuild {
+		limit = 150
+	}
+	if allocs := testing.AllocsPerRun(50, do); allocs > limit {
+		t.Errorf("warm predict allocates %.0f objects per request, want <= %.0f", allocs, limit)
 	}
 }
 
